@@ -108,6 +108,16 @@ type Options struct {
 	// collation, execution, duplicate suppression). It is installed
 	// into Message.Trace so one process's events share one identity.
 	Trace trace.Sink
+	// PlantedRebindBug makes SetTroupeID also discard the collation
+	// table and the finished-call table: a deliberately wrong "a
+	// rebind invalidates in-flight call state" change, the known
+	// defect the schedule-exploration regression test must
+	// rediscover. With the state gone, a replicated client member's
+	// call message arriving after a rebind no longer collates with its
+	// sibling's, so the server executes the call a second time and
+	// breaks the at-most-once guarantee of §4.3.2. Only verification
+	// tests set it, on their own runtimes.
+	PlantedRebindBug bool
 }
 
 func (o Options) withDefaults() Options {
@@ -148,10 +158,17 @@ type Runtime struct {
 	pendMu  sync.Mutex
 	pending map[retKey]chan returnHeader // client calls awaiting returns
 
-	// callMu guards the server-side many-to-one collation table; the
-	// per-call state behind each entry has its own lock (serverCall.mu).
-	callMu sync.Mutex
-	calls  map[string]*serverCall
+	// callMu guards the server-side call tables, both keyed by the
+	// collation key. calls collates the call messages of unfinished
+	// calls; the per-call state behind each entry has its own lock
+	// (serverCall.mu). finished keeps each finished call's return
+	// message for CallRetention (§4.3.4), and finishedOrder lists its
+	// keys in finish order, so expiry pops the oldest and stops.
+	callMu        sync.Mutex
+	calls         map[string]*serverCall
+	finished      map[string]finishedCall
+	finishedOrder []string
+	epoch         time.Time // monotonic origin of finishedCall.at
 
 	// workers are the dispatch pool's per-worker queues, indexed by a
 	// hash of the sender address; nil in serial (DispatchWorkers < 0)
@@ -195,6 +212,8 @@ func NewRuntime(ep transport.Endpoint, opts Options) *Runtime {
 		resolver:  opts.Resolver,
 		pending:   make(map[retKey]chan returnHeader),
 		calls:     make(map[string]*serverCall),
+		finished:  make(map[string]finishedCall),
+		epoch:     time.Now(),
 		done:      make(chan struct{}),
 	}
 	rt.tr = rt.conn.Tracer() // same node identity and incarnation
@@ -282,25 +301,17 @@ func (rt *Runtime) Unexport(num uint16) {
 	delete(rt.troupeIDs, num)
 }
 
-// PlantedRebindBug, when true, makes SetTroupeID additionally discard
-// the runtime's many-to-one collation records — a deliberately wrong
-// "a rebind invalidates in-flight call state" change, kept behind this
-// flag as the known defect the schedule-exploration regression test
-// must rediscover. With a record gone, a replicated client member's
-// call message arriving after a rebind no longer collates with its
-// sibling's: the server executes the call a second time, breaking the
-// at-most-once guarantee of §4.3.2. Never set outside tests.
-var PlantedRebindBug = false
-
 // SetTroupeID records the current troupe ID of an exported module; the
 // member rejects calls bearing any other destination troupe ID (§6.2).
 func (rt *Runtime) SetTroupeID(module uint16, id TroupeID) {
 	rt.mu.Lock()
 	rt.troupeIDs[module] = id
 	rt.mu.Unlock()
-	if PlantedRebindBug {
+	if rt.opts.PlantedRebindBug {
 		rt.callMu.Lock()
 		rt.calls = make(map[string]*serverCall)
+		rt.finished = make(map[string]finishedCall)
+		rt.finishedOrder = nil
 		rt.callMu.Unlock()
 	}
 }
@@ -442,9 +453,8 @@ func (rt *Runtime) handleReturn(msg pairedmsg.Message, hdr *returnHeader) {
 	}
 }
 
-// sweepLoop expires completed many-to-one call records (§4.3.4: the
-// server buffers return messages for slow client members, bounded by
-// the retention window).
+// sweepLoop expires finished calls (§4.3.4: the server buffers return
+// messages for slow client members, bounded by the retention window).
 func (rt *Runtime) sweepLoop() {
 	defer rt.bg.Done()
 	ticker := time.NewTicker(rt.opts.CallRetention / 4)
@@ -454,18 +464,31 @@ func (rt *Runtime) sweepLoop() {
 		case <-rt.done:
 			return
 		case now := <-ticker.C:
-			rt.callMu.Lock()
-			for k, sc := range rt.calls {
-				sc.mu.Lock()
-				expired := sc.finished && now.Sub(sc.finishedAt) > rt.opts.CallRetention
-				sc.mu.Unlock()
-				if expired {
-					delete(rt.calls, k)
-				}
-			}
-			rt.callMu.Unlock()
+			rt.expireFinished(now.Sub(rt.epoch))
 		}
 	}
+}
+
+// expireFinished drops the finished calls older than CallRetention at
+// now (measured from rt.epoch), oldest first: the walk stops at the
+// first record still inside its window, so a sweep costs O(expired).
+// A key whose record is already gone (dropped by a planted fault) is
+// skipped.
+func (rt *Runtime) expireFinished(now time.Duration) {
+	rt.callMu.Lock()
+	defer rt.callMu.Unlock()
+	n := 0
+	for _, k := range rt.finishedOrder {
+		if fc, ok := rt.finished[k]; ok {
+			if now-fc.at <= rt.opts.CallRetention {
+				break
+			}
+			delete(rt.finished, k)
+		}
+		n++
+	}
+	clear(rt.finishedOrder[:n]) // release the popped keys' storage
+	rt.finishedOrder = rt.finishedOrder[n:]
 }
 
 // background runs f on a tracked goroutine so Close can wait for it.

@@ -18,9 +18,11 @@ import (
 // server troupe member (§4.3.2). Two call messages are part of the
 // same replicated call if and only if they bear the same thread ID and
 // call path; the client troupe ID tells the member how many call
-// messages to expect.
+// messages to expect. The record lives only until the call finishes:
+// finishAndReply then moves what replay needs into a finishedCall.
 type serverCall struct {
 	mu       sync.Mutex
+	key      string // collation key, shared with the finished table
 	hdr      callHeader
 	tid      thread.ID
 	exp      *export
@@ -35,15 +37,24 @@ type serverCall struct {
 	expected    int // number of client troupe members; 0 until resolved
 	started     bool
 	timer       *time.Timer // availability timeout; stopped when started flips
-	finished    bool
-	finishedAt  time.Time
-	result      []byte // encoded returnHeader, buffered for late callers
-	status      uint16 // status word of result, for tracing late replies
+	// finished, result and status answer call messages that reached
+	// this record just before it left the collation table.
+	finished bool
+	result   []byte // encoded returnHeader
+	status   uint16 // status word of result, for tracing late replies
 	// call is the ServerCall handed to the module's Dispatch, embedded
-	// here so execute need not heap-allocate one per call. The record
-	// outlives the dispatch (retained for CallRetention), so a module
-	// that stashes the pointer stays safe.
+	// here so execute need not heap-allocate one per call.
 	call ServerCall
+}
+
+// finishedCall is everything a member keeps of a finished call for
+// the retention window (§4.3.4): the encoded return message that
+// answers late and retried call messages without a second execution,
+// its status word for tracing, and when the call finished.
+type finishedCall struct {
+	result []byte
+	at     time.Duration // since Runtime.epoch (monotonic)
+	status uint16
 }
 
 // markStartedLocked flips started and releases the availability
@@ -111,34 +122,30 @@ func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) {
 	var keyArr [64]byte
 	key := appendCallKey(keyArr[:0], tid, hdr.Path, hdr.Module)
 	rt.callMu.Lock()
-	sc, ok := rt.calls[string(key)] // no-alloc lookup (string-conversion fast path)
+	// No-alloc lookups (string-conversion fast path).
+	if fc, done := rt.finished[string(key)]; done {
+		rt.callMu.Unlock()
+		rt.replayFinished(msg, hdr, fc.status, fc.result)
+		return
+	}
+	sc, ok := rt.calls[string(key)]
 	if !ok {
-		sc = &serverCall{hdr: *hdr, tid: tid, exp: exp}
+		sc = &serverCall{key: string(key), hdr: *hdr, tid: tid, exp: exp}
 		// The stored header must not alias the decode scratch.
 		sc.hdr.Path = append([]uint32(nil), hdr.Path...)
 		sc.callers = sc.callersArr[:0]
 		sc.callNums = sc.callNumsArr[:0]
 		sc.args = sc.argsArr[:0]
-		rt.calls[string(key)] = sc
+		rt.calls[sc.key] = sc
 	}
 	rt.callMu.Unlock()
 
 	sc.mu.Lock()
 	if sc.finished {
-		// A slow client troupe member: execution appears instantaneous
-		// to it, because the return message is ready and waiting
-		// (§4.3.4) — already encoded, so replay the stored bytes.
+		// Finished after the lookup above, before leaving the table.
 		result, status := sc.result, sc.status
 		sc.mu.Unlock()
-		if rt.tr.EnabledFor(trace.KindDupCall) {
-			// Sinks may retain events: never hand them the scratch path.
-			rt.tr.Emit(trace.Event{Kind: trace.KindDupCall,
-				Peer: msg.From, CallNum: msg.CallNum,
-				ThreadHost: hdr.ThreadHost, ThreadProc: hdr.ThreadProc,
-				Path: append([]uint32(nil), hdr.Path...), Troupe: hdr.DestTroupe,
-				Module: hdr.Module, Proc: hdr.Proc})
-		}
-		rt.sendReturnEncoded(msg.From, msg.CallNum, status, result)
+		rt.replayFinished(msg, hdr, status, result)
 		return
 	}
 	seen := -1
@@ -179,6 +186,22 @@ func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) {
 			rt.background(func() { rt.resolveExpected(sc, ct) })
 		}
 	}
+}
+
+// replayFinished answers a call message of an already finished call.
+// A slow client troupe member sees execution as instantaneous, because
+// the return message is ready and waiting (§4.3.4) — already encoded,
+// so the stored bytes are replayed.
+func (rt *Runtime) replayFinished(msg pairedmsg.Message, hdr *callHeader, status uint16, result []byte) {
+	if rt.tr.EnabledFor(trace.KindDupCall) {
+		// Sinks may retain events: never hand them the scratch path.
+		rt.tr.Emit(trace.Event{Kind: trace.KindDupCall,
+			Peer: msg.From, CallNum: msg.CallNum,
+			ThreadHost: hdr.ThreadHost, ThreadProc: hdr.ThreadProc,
+			Path: append([]uint32(nil), hdr.Path...), Troupe: hdr.DestTroupe,
+			Module: hdr.Module, Proc: hdr.Proc})
+	}
+	rt.sendReturnEncoded(msg.From, msg.CallNum, status, result)
 }
 
 // resolveExpected learns how many call messages to expect as part of
@@ -487,7 +510,6 @@ func (rt *Runtime) finishAndReply(sc *serverCall, ret returnHeader) {
 
 	sc.mu.Lock()
 	sc.finished = true
-	sc.finishedAt = time.Now()
 	sc.result = encoded
 	sc.status = ret.Status
 	callers := sc.callers // append-only: the header snapshot suffices
@@ -496,6 +518,18 @@ func (rt *Runtime) finishAndReply(sc *serverCall, ret returnHeader) {
 	var cnArr [4]uint32
 	callNums := append(cnArr[:0], sc.callNums...)
 	sc.mu.Unlock()
+
+	// The collation record leaves the table for a compact replay entry
+	// in one step, so a lookup always finds one or the other. The
+	// record may already be gone (a planted rebind fault drops it) or
+	// replaced by a newer one, which is left alone.
+	rt.callMu.Lock()
+	if rt.calls[sc.key] == sc {
+		delete(rt.calls, sc.key)
+	}
+	rt.finished[sc.key] = finishedCall{result: encoded, at: time.Since(rt.epoch), status: ret.Status}
+	rt.finishedOrder = append(rt.finishedOrder, sc.key)
+	rt.callMu.Unlock()
 
 	// One encode serves every client troupe member (and any late
 	// arrival, via the buffer stored above).

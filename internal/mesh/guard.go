@@ -40,7 +40,7 @@ type Positioned interface {
 // PlantedStaleReadBug, when true, makes every guard skip the
 // position check and answer spread reads from whatever state it has —
 // the planted defect the chaos campaigns must catch via the client's
-// reply-position check. Test-only, like core.PlantedRebindBug.
+// reply-position check. Test-only.
 var PlantedStaleReadBug = false
 
 // spreadReadArgs is the wire form of a spread read request: the

@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"circus/internal/core"
 )
 
 // TestRebindCleanSchedules: with the runtime correct, every explored
@@ -28,16 +26,14 @@ func TestRebindCleanSchedules(t *testing.T) {
 
 // TestRebindPlantedBugFoundAndReplayed is the regression pinning the
 // explorer's reason to exist: a rebind that wrongly discards the
-// server's collation records only misbehaves when the repair call is
+// server's collation and finished-call records only misbehaves when the repair call is
 // delivered between two sibling deliveries of one logical call. The
 // search must find that window within its schedule budget, and the
 // counterexample must replay decision-for-decision from its seed.
 func TestRebindPlantedBugFoundAndReplayed(t *testing.T) {
-	core.PlantedRebindBug = true
-	defer func() { core.PlantedRebindBug = false }()
-
+	planted := RebindScenario{PlantedBug: true}
 	opts := Options{Seed: 1, Schedules: 20, Log: t.Logf}
-	rep, err := Run(RebindScenario{}, opts)
+	rep, err := Run(planted, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +47,7 @@ func TestRebindPlantedBugFoundAndReplayed(t *testing.T) {
 		t.Fatalf("expected a double-execution violation, got: %v", found.Violations)
 	}
 
-	replay, err := RunSchedule(RebindScenario{}, opts, found.Seed)
+	replay, err := RunSchedule(planted, opts, found.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

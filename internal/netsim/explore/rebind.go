@@ -55,15 +55,21 @@ func (m *counterMod) Dispatch(call *core.ServerCall, proc uint16, args []byte) (
 // buffered return of) the first. The invariant is checked both
 // directly (the module's execution count) and through the trace
 // conformance rules, so a violating schedule pins the exact event.
-type RebindScenario struct{}
+type RebindScenario struct {
+	// PlantedBug builds every runtime with core's planted rebind
+	// defect, which the search must find (see
+	// core.Options.PlantedRebindBug).
+	PlantedBug bool
+}
 
 func (RebindScenario) Name() string { return "rebind" }
 
 // Build implements Scenario.
-func (RebindScenario) Build(net *netsim.Network, seed int64) (func() error, func() []string, func(), error) {
+func (sc RebindScenario) Build(net *netsim.Network, seed int64) (func() error, func() []string, func(), error) {
 	rec := trace.NewRecorder()
 	resolver := core.StaticResolver{}
 	opts := exploreOpts(rec, resolver)
+	opts.PlantedRebindBug = sc.PlantedBug
 
 	var rts []*core.Runtime
 	stop := func() {

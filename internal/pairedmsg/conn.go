@@ -283,7 +283,8 @@ type session struct {
 	// two locks never nest — sendMu is only taken with mu released.
 	sendMu    sync.Mutex
 	sendQ     []outFrame
-	sendSpare []outFrame // drained queue, recycled to avoid reallocation
+	sendSpare []outFrame  // drained queue, recycled to avoid reallocation
+	ackSpare  []segHeader // the flusher's ack staging, recycled likewise
 	pend      map[sessKey]pendAck
 	flushing  bool // a flusher is draining sendQ+pend
 	ackTimer  *time.Timer
@@ -313,9 +314,10 @@ type pendAck struct {
 
 // doneRec is the replay-suppression tombstone of a delivered inbound
 // exchange: everything a late duplicate segment needs answered after
-// the full inTransfer has been recycled.
+// the full inTransfer has been recycled. It is 8 bytes, 16 with its
+// map key; one is kept per exchange for CompletedTTL.
 type doneRec struct {
-	at    time.Time
+	at    uint32 // delivery time as a Conn.msSince reading
 	total uint8
 }
 
@@ -630,6 +632,12 @@ type Conn struct {
 	closed   atomic.Bool
 	stats    counters
 
+	// start is the origin of msSince readings, and ttlMs is
+	// CompletedTTL in those units, capped so tombstone ages never
+	// reach the 32-bit wrap.
+	start time.Time
+	ttlMs uint32
+
 	incoming chan Message
 	stop     chan struct{}
 	wg       sync.WaitGroup
@@ -812,7 +820,9 @@ func New(ep transport.Endpoint, opts Options) *Conn {
 		opts:     opts.withDefaults(),
 		callBase: base,
 		stop:     make(chan struct{}),
+		start:    time.Now(),
 	}
+	c.ttlMs = uint32(min(c.opts.CompletedTTL, maxTombstoneTTL).Milliseconds())
 	c.incoming = make(chan Message, c.opts.IncomingBuffer)
 	c.tr = trace.NewLocal(c.opts.Trace, ep.Addr(), trace.NextIncarnation())
 	if d, ok := ep.(transport.Dispatcher); ok {
@@ -828,6 +838,17 @@ func New(ep transport.Endpoint, opts Options) *Conn {
 		go c.timerLoop()
 	}
 	return c
+}
+
+// maxTombstoneTTL caps the tombstone lifetime at half the range of a
+// msSince reading (~24.8 days), so an age taken by uint32 subtraction
+// is exact for every tombstone a sweep can still find.
+const maxTombstoneTTL = (1 << 31) * time.Millisecond
+
+// msSince renders t as whole milliseconds since the Conn started,
+// wrapping every ~49.7 days; ages are uint32 differences.
+func (c *Conn) msSince(t time.Time) uint32 {
+	return uint32(t.Sub(c.start).Milliseconds())
 }
 
 // session returns the per-peer state shard, creating it on first
@@ -1364,7 +1385,7 @@ func (c *Conn) handleProbe(from transport.Addr, h segHeader) {
 		ackNum, total = in.ackable(), in.total
 		if deliveredNow {
 			delete(s.in, k)
-			s.completed[k] = doneRec{at: time.Now(), total: uint8(in.total)}
+			s.completed[k] = doneRec{at: c.msSince(time.Now()), total: uint8(in.total)}
 			recycleInTransfer(in)
 		}
 	} else if rec, ok := s.completed[k]; ok {
@@ -1465,7 +1486,7 @@ func (c *Conn) handleData(from transport.Addr, h segHeader, payload []byte, buf 
 		// Delivery retires the record: a doneRec tombstone takes over
 		// replay suppression and the struct goes back to the pool.
 		delete(s.in, k)
-		s.completed[k] = doneRec{at: time.Now(), total: uint8(in.total)}
+		s.completed[k] = doneRec{at: c.msSince(time.Now()), total: uint8(in.total)}
 		recycleInTransfer(in)
 	}
 	s.mu.Unlock()
@@ -1683,7 +1704,10 @@ func (c *Conn) kickFlush(s *session, pace bool) {
 // enqueued during a transmission is picked up by the next iteration,
 // so a burst arriving while the wire is busy coalesces naturally.
 func (c *Conn) flushLoop(s *session) {
-	var acks []segHeader
+	// ackSpare belongs to the flusher role: the previous flusher handed
+	// it back under sendMu before releasing the role, and this one took
+	// the role under sendMu, so no other goroutine touches it now.
+	acks := s.ackSpare
 	for {
 		s.sendMu.Lock()
 		if c.closed.Load() {
@@ -1693,6 +1717,7 @@ func (c *Conn) flushLoop(s *session) {
 			}
 		}
 		if len(s.sendQ) == 0 && len(s.pend) == 0 {
+			s.ackSpare = acks[:0]
 			s.flushing = false
 			s.sendMu.Unlock()
 			return
@@ -1794,6 +1819,16 @@ func (c *Conn) timerPass() {
 		c.timerPassSession(v.(*session))
 		return true
 	})
+}
+
+// expireCompletedLocked drops the tombstones older than ttl at now,
+// both msSince readings. Caller holds s.mu.
+func (s *session) expireCompletedLocked(now, ttl uint32) {
+	for k, rec := range s.completed {
+		if now-rec.at > ttl {
+			delete(s.completed, k)
+		}
+	}
 }
 
 // timerPassSession runs one retransmission/probe/expiry pass over a
@@ -1906,11 +1941,7 @@ func (c *Conn) timerPassSession(s *session) {
 	// lock every retransmit tick would tax the call hot path instead.
 	if !now.Before(s.nextSweep) {
 		s.nextSweep = now.Add(c.opts.CompletedTTL / 8)
-		for k, rec := range s.completed {
-			if now.Sub(rec.at) > c.opts.CompletedTTL {
-				delete(s.completed, k)
-			}
-		}
+		s.expireCompletedLocked(c.msSince(now), c.ttlMs)
 	}
 	s.mu.Unlock()
 

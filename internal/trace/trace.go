@@ -95,39 +95,39 @@ const (
 )
 
 var kindNames = [...]string{
-	KindUnknown:       "unknown",
-	KindMsgSend:       "msg.send",
-	KindSegRetransmit: "msg.retransmit",
-	KindAckSend:       "msg.ack",
-	KindProbeSend:     "msg.probe",
-	KindCrashSuspect:  "msg.crash-suspect",
-	KindRTTSample:     "msg.rtt-sample",
-	KindDupSegment:    "msg.dup-segment",
-	KindMsgDelivered:  "msg.delivered",
-	KindCallIssued:    "call.issued",
-	KindMemberReply:   "call.member-reply",
-	KindCollateDone:   "call.collated",
-	KindRebind:        "call.rebind",
-	KindCallStart:     "exec.start",
-	KindCallDone:      "exec.done",
-	KindDupCall:       "exec.dup-call",
-	KindReplySent:     "exec.reply-sent",
-	KindRegister:      "ring.register",
-	KindAddMember:     "ring.add-member",
-	KindRemoveMember:  "ring.remove-member",
-	KindLookup:        "ring.lookup",
-	KindGCRemove:      "ring.gc-remove",
-	KindLockAcquire:   "txn.lock-acquire",
-	KindLockRelease:   "txn.lock-release",
-	KindTxnCommit:     "txn.commit",
-	KindTxnAbort:      "txn.abort",
-	KindAcceptOrder:   "txn.accept-order",
-	KindDeliveryDrop:  "msg.delivery-drop",
-	KindBundleSend:    "msg.bundle",
-	KindWALAppend:     "wal.append",
-	KindWALSnapshot:   "wal.snapshot",
-	KindRecover:       "recover",
-	KindDeltaRejoin:   "repair.delta-rejoin",
+	KindUnknown:        "unknown",
+	KindMsgSend:        "msg.send",
+	KindSegRetransmit:  "msg.retransmit",
+	KindAckSend:        "msg.ack",
+	KindProbeSend:      "msg.probe",
+	KindCrashSuspect:   "msg.crash-suspect",
+	KindRTTSample:      "msg.rtt-sample",
+	KindDupSegment:     "msg.dup-segment",
+	KindMsgDelivered:   "msg.delivered",
+	KindCallIssued:     "call.issued",
+	KindMemberReply:    "call.member-reply",
+	KindCollateDone:    "call.collated",
+	KindRebind:         "call.rebind",
+	KindCallStart:      "exec.start",
+	KindCallDone:       "exec.done",
+	KindDupCall:        "exec.dup-call",
+	KindReplySent:      "exec.reply-sent",
+	KindRegister:       "ring.register",
+	KindAddMember:      "ring.add-member",
+	KindRemoveMember:   "ring.remove-member",
+	KindLookup:         "ring.lookup",
+	KindGCRemove:       "ring.gc-remove",
+	KindLockAcquire:    "txn.lock-acquire",
+	KindLockRelease:    "txn.lock-release",
+	KindTxnCommit:      "txn.commit",
+	KindTxnAbort:       "txn.abort",
+	KindAcceptOrder:    "txn.accept-order",
+	KindDeliveryDrop:   "msg.delivery-drop",
+	KindBundleSend:     "msg.bundle",
+	KindWALAppend:      "wal.append",
+	KindWALSnapshot:    "wal.snapshot",
+	KindRecover:        "recover",
+	KindDeltaRejoin:    "repair.delta-rejoin",
 	KindSpreadRead:     "mesh.spread-read",
 	KindSpreadStale:    "mesh.spread-stale",
 	KindSpreadEscalate: "mesh.spread-escalate",
@@ -173,8 +173,11 @@ type Event struct {
 	// per pairedmsg.Conn, so a restarted process is distinguishable
 	// from its predecessor at the same address.
 	Inc uint32 `json:"inc"`
-	// Peer is the remote address, for wire-level and reply events.
-	Peer transport.Addr `json:"peer,omitzero"`
+	// Peer is the remote address, for wire-level and reply events. A
+	// zero Peer is encoded, not omitted: Go before 1.24 ignores the
+	// omitzero option, so only this encoding is the same on every
+	// toolchain. The JSONL form (jsonEvent) omits it.
+	Peer transport.Addr `json:"peer"`
 	// MsgType and CallNum identify a paired-message conversation with
 	// Peer (call vs return, and the per-peer call number).
 	MsgType uint8  `json:"msgType,omitempty"`

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -222,6 +223,30 @@ func TestJSONLRoundTrip(t *testing.T) {
 		if e.Seq != uint64(i+1) {
 			t.Fatalf("event %d reassigned Seq %d", i, e.Seq)
 		}
+	}
+}
+
+// TestZeroPeerEncoding pins how an event without a peer encodes, so
+// traces compare byte for byte across toolchains: encoding/json
+// writes the zero Peer of an Event in full, and the JSONL form leaves
+// both peer fields out.
+func TestZeroPeerEncoding(t *testing.T) {
+	e := Event{Kind: KindCallStart, T: time.Unix(1, 0).UTC()}
+	b, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"peer":{"Host":0,"Port":0}`) {
+		t.Fatalf("json.Marshal(Event) = %s, want an explicit zero peer", b)
+	}
+	var buf bytes.Buffer
+	j := NewJSONL(&buf)
+	j.Emit(e)
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if line := buf.String(); strings.Contains(line, `"peer`) {
+		t.Fatalf("JSONL line %s carries a zero peer", line)
 	}
 }
 

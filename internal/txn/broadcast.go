@@ -59,8 +59,8 @@ type bcastEntry struct {
 }
 
 // Queue is one troupe member's message queue, ordered by time with
-// message ID as the tiebreak. Deliver is invoked, in acceptance order
-// and on a single goroutine, for each message released for
+// message ID as the tiebreak. Deliver is invoked in acceptance order,
+// one message at a time, for each message released for
 // application-level processing.
 type Queue struct {
 	tr trace.Sink // nil disables accept-order tracing
@@ -68,7 +68,13 @@ type Queue struct {
 	mu      sync.Mutex
 	clock   uint64
 	entries []*bcastEntry // sorted by (time, msgID)
-	deliver func(msgID string, msg []byte)
+	// ready holds released messages awaiting delivery, in acceptance
+	// order. Accepts run concurrently (one per calling client), so one
+	// of them at a time, the one that set delivering, drains it: two
+	// released batches never reach deliver out of order or at once.
+	ready      []*bcastEntry
+	delivering bool
+	deliver    func(msgID string, msg []byte)
 }
 
 // NewQueue returns a queue delivering to the given function.
@@ -118,20 +124,29 @@ func (q *Queue) Accept(msgID string, t uint64) error {
 	if t > q.clock {
 		q.clock = t
 	}
-	var release []*bcastEntry
 	for len(q.entries) > 0 && q.entries[0].status == statusAccepted {
-		release = append(release, q.entries[0])
+		q.ready = append(q.ready, q.entries[0])
 		q.entries = q.entries[1:]
 	}
-	q.mu.Unlock()
-
-	for _, r := range release {
+	if q.delivering {
+		q.mu.Unlock()
+		return nil
+	}
+	q.delivering = true
+	for len(q.ready) > 0 {
+		r := q.ready[0]
+		q.ready[0] = nil
+		q.ready = q.ready[1:]
+		q.mu.Unlock()
 		if q.tr != nil {
 			trace.Stamp(q.tr, trace.Event{Kind: trace.KindAcceptOrder,
 				Detail: r.msgID, N: int(r.time)})
 		}
 		q.deliver(r.msgID, r.msg)
+		q.mu.Lock()
 	}
+	q.delivering = false
+	q.mu.Unlock()
 	return nil
 }
 
@@ -152,7 +167,7 @@ func (q *Queue) insertLocked(e *bcastEntry) {
 func (q *Queue) Pending() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.entries)
+	return len(q.entries) + len(q.ready)
 }
 
 // Module wraps a Queue as a core.Module exporting the two procedures

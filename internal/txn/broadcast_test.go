@@ -65,6 +65,48 @@ func TestQueueOrdering(t *testing.T) {
 	}
 }
 
+// TestQueueDeliversOneAtATime: accepts run concurrently, one per
+// calling client. A message released while an earlier one is still
+// being delivered waits for it, so the application sees acceptance
+// order on one goroutine at a time (§5.4's deterministic concurrency
+// control depends on it).
+func TestQueueDeliversOneAtATime(t *testing.T) {
+	var mu sync.Mutex
+	var order []string
+	inM1, releaseM1 := make(chan struct{}), make(chan struct{})
+	q := NewQueue(func(id string, msg []byte) {
+		mu.Lock()
+		order = append(order, id)
+		mu.Unlock()
+		if id == "m1" {
+			close(inM1)
+			<-releaseM1
+		}
+	})
+	p1 := q.Propose("m1", nil)
+	p2 := q.Propose("m2", nil)
+	accepted := make(chan error, 1)
+	go func() { accepted <- q.Accept("m1", p1) }()
+	<-inM1
+	if err := q.Accept("m2", p2); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	got := append([]string(nil), order...)
+	mu.Unlock()
+	if !reflect.DeepEqual(got, []string{"m1"}) {
+		t.Fatalf("delivered %v while m1 was still being delivered, want [m1]", got)
+	}
+	close(releaseM1)
+	if err := <-accepted; err != nil {
+		t.Fatal(err)
+	}
+	// The accept that was delivering m1 also delivered m2 before returning.
+	if !reflect.DeepEqual(order, []string{"m1", "m2"}) || q.Pending() != 0 {
+		t.Fatalf("order = %v, pending = %d; want [m1 m2], 0", order, q.Pending())
+	}
+}
+
 func TestQueueTiebreakByID(t *testing.T) {
 	var order []string
 	q := NewQueue(func(id string, msg []byte) { order = append(order, id) })

@@ -66,7 +66,8 @@ type LockManager struct {
 	mu    sync.Mutex
 	locks map[string]*lockState
 	// waitsFor[t] is the set of transactions t currently waits for —
-	// the waits-for relation of §2.3.1.
+	// the waits-for relation of §2.3.1 — rebuilt by refreshLocked
+	// whenever a request queues or a wake grants locks.
 	waitsFor map[uint64]map[uint64]bool
 }
 
@@ -109,37 +110,20 @@ func (lm *LockManager) Acquire(tx uint64, obj string, mode Mode) error {
 			}
 			return nil
 		}
-		blockers := lm.blockersLocked(ls, tx, mode)
-		if lm.policy == WaitDie {
-			// Timestamps are transaction IDs: smaller is older. A
-			// younger requester dies instead of waiting.
-			for b := range blockers {
-				if tx > b {
-					lm.mu.Unlock()
-					return ErrWaitDie
-				}
-			}
-		} else {
-			if lm.wouldDeadlockLocked(tx, blockers) {
-				lm.mu.Unlock()
-				return ErrDeadlock
-			}
+		if lm.refusesWaitLocked(tx, lm.blockersLocked(ls, tx, mode)) {
+			lm.mu.Unlock()
+			return lm.abortErr()
 		}
 
 		w := &waiter{tx: tx, mode: mode, ready: make(chan struct{})}
 		ls.queue = append(ls.queue, w)
-		if lm.waitsFor[tx] == nil {
-			lm.waitsFor[tx] = make(map[uint64]bool)
-		}
-		for b := range blockers {
-			lm.waitsFor[tx][b] = true
-		}
+		// A queued writer also blocks the readers queued before it.
+		lm.refreshLocked()
 		lm.mu.Unlock()
 
 		<-w.ready
 
 		lm.mu.Lock()
-		delete(lm.waitsFor, tx)
 		if w.err != nil {
 			lm.mu.Unlock()
 			return w.err
@@ -227,7 +211,6 @@ func (lm *LockManager) ReleaseAll(tx uint64) {
 	}
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	delete(lm.waitsFor, tx)
 	for obj, ls := range lm.locks {
 		delete(ls.holders, tx)
 		lm.wakeLocked(ls)
@@ -235,10 +218,82 @@ func (lm *LockManager) ReleaseAll(tx uint64) {
 			delete(lm.locks, obj)
 		}
 	}
-	// Remove tx from other transactions' waits-for sets: they no
-	// longer wait for it.
-	for _, deps := range lm.waitsFor {
-		delete(deps, tx)
+	// The wakes changed who holds what: a waiter still queued may now
+	// wait for a transaction it had no edge to.
+	lm.refreshLocked()
+}
+
+// refusesWaitLocked reports whether the policy forbids tx waiting
+// for blockers. Under WaitDie timestamps are transaction IDs, smaller
+// is older, and a younger transaction dies instead of waiting for an
+// older one; under DetectDeadlock a wait that closes a cycle in the
+// waits-for relation is refused.
+func (lm *LockManager) refusesWaitLocked(tx uint64, blockers map[uint64]bool) bool {
+	if lm.policy == WaitDie {
+		for b := range blockers {
+			if tx > b {
+				return true
+			}
+		}
+		return false
+	}
+	return lm.wouldDeadlockLocked(tx, blockers)
+}
+
+// abortErr is the error a refused wait reports under the policy.
+func (lm *LockManager) abortErr() error {
+	if lm.policy == WaitDie {
+		return ErrWaitDie
+	}
+	return ErrDeadlock
+}
+
+// refreshLocked rebuilds the waits-for relation from the lock table,
+// so every queued waiter waits for exactly its current blockers. Those
+// change whenever a request queues or a wake grants locks, and a wait
+// allowed at enqueue may no longer be: a wake can hand the lock a
+// reader queued for to a transaction that waits for the reader, or
+// (under WaitDie) to one older than the reader. The youngest queued
+// waiter (largest transaction ID) whose wait the policy now refuses
+// is failed with the policy's error and its request withdrawn, and the
+// relation is rebuilt again until every remaining wait is allowed.
+func (lm *LockManager) refreshLocked() {
+	for {
+		clear(lm.waitsFor)
+		for _, ls := range lm.locks {
+			for _, w := range ls.queue {
+				deps := lm.waitsFor[w.tx]
+				if deps == nil {
+					deps = make(map[uint64]bool)
+					lm.waitsFor[w.tx] = deps
+				}
+				for b := range lm.blockersLocked(ls, w.tx, w.mode) {
+					deps[b] = true
+				}
+			}
+		}
+		var victim *waiter
+		var victimLock *lockState
+		for _, ls := range lm.locks {
+			for _, w := range ls.queue {
+				if (victim == nil || w.tx > victim.tx) && lm.refusesWaitLocked(w.tx, lm.waitsFor[w.tx]) {
+					victim, victimLock = w, ls
+				}
+			}
+		}
+		if victim == nil {
+			return
+		}
+		for i, w := range victimLock.queue {
+			if w == victim {
+				victimLock.queue = append(victimLock.queue[:i:i], victimLock.queue[i+1:]...)
+				break
+			}
+		}
+		victim.err = lm.abortErr()
+		close(victim.ready)
+		// The withdrawn request may have held back the waiters behind it.
+		lm.wakeLocked(victimLock)
 	}
 }
 

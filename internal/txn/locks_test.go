@@ -134,3 +134,132 @@ func TestDeadlockThreeWayCycle(t *testing.T) {
 		}
 	}
 }
+
+// waitQueued blocks until n requests are queued on obj.
+func waitQueued(t *testing.T, lm *LockManager, obj string, n int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		lm.mu.Lock()
+		got := 0
+		if ls := lm.locks[obj]; ls != nil {
+			got = len(ls.queue)
+		}
+		lm.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests queued on %q, want %d", got, obj, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDeadlockAfterWakeRegrantsLock is the fixed interleaving behind
+// the random-load wedge: a wake hands a lock to a new holder, so a
+// reader still queued behind it gains a waits-for edge it never had
+// at enqueue. T1 W(a), T2 W(b), T2 R(a) queues, T3 W(a) queues,
+// ReleaseAll(T1) grants a to T3, then T3 W(b) closes T2→T3→T2. One of
+// the two must get ErrDeadlock; the other proceeds once the victim
+// releases.
+func TestDeadlockAfterWakeRegrantsLock(t *testing.T) {
+	lm := NewLockManager(DetectDeadlock)
+	if err := lm.Acquire(1, "a", Write); err != nil {
+		t.Fatal(err)
+	}
+	if err := lm.Acquire(2, "b", Write); err != nil {
+		t.Fatal(err)
+	}
+	t2 := make(chan error, 1)
+	go func() { t2 <- lm.Acquire(2, "a", Read) }()
+	waitQueued(t, lm, "a", 1)
+	t3 := make(chan error, 1)
+	go func() {
+		if err := lm.Acquire(3, "a", Write); err != nil {
+			t3 <- err
+			return
+		}
+		t3 <- lm.Acquire(3, "b", Write)
+	}()
+	waitQueued(t, lm, "a", 2)
+	lm.ReleaseAll(1)
+
+	var victim, survivor uint64
+	var survivorErr chan error
+	select {
+	case err := <-t2:
+		victim, survivor, survivorErr = 2, 3, t3
+		if err != ErrDeadlock {
+			t.Fatalf("T2 R(a) = %v, want ErrDeadlock (T3 must still be waiting)", err)
+		}
+	case err := <-t3:
+		victim, survivor, survivorErr = 3, 2, t2
+		if err != ErrDeadlock {
+			t.Fatalf("T3 = %v, want ErrDeadlock (T2 must still be waiting)", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("T2 and T3 deadlocked undetected")
+	}
+	lm.ReleaseAll(victim)
+	select {
+	case err := <-survivorErr:
+		if err != nil {
+			t.Fatalf("T%d after the victim released: %v", survivor, err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatalf("T%d still blocked after T%d released", survivor, victim)
+	}
+	lm.ReleaseAll(survivor)
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	if len(lm.waitsFor) != 0 {
+		t.Fatalf("waits-for relation not empty after all releases: %v", lm.waitsFor)
+	}
+}
+
+// TestWaitDieReaderBehindOlderWriter: under WaitDie a queued reader
+// also waits for every writer queued with it. When an older writer
+// queues behind a younger reader, the reader is now waiting for an
+// older transaction and must die — otherwise the writer, once granted,
+// can wait for a lock the reader holds: T9 W(a), T5 W(b), T5 R(a)
+// queues, T2 W(a) queues, ReleaseAll(T9) grants a to T2, T2 W(b).
+func TestWaitDieReaderBehindOlderWriter(t *testing.T) {
+	lm := NewLockManager(WaitDie)
+	if err := lm.Acquire(9, "a", Write); err != nil {
+		t.Fatal(err)
+	}
+	if err := lm.Acquire(5, "b", Write); err != nil {
+		t.Fatal(err)
+	}
+	t5 := make(chan error, 1)
+	go func() { t5 <- lm.Acquire(5, "a", Read) }()
+	waitQueued(t, lm, "a", 1)
+	t2 := make(chan error, 1)
+	go func() {
+		if err := lm.Acquire(2, "a", Write); err != nil {
+			t2 <- err
+			return
+		}
+		t2 <- lm.Acquire(2, "b", Write)
+	}()
+	select {
+	case err := <-t5:
+		if err != ErrWaitDie {
+			t.Fatalf("T5 R(a) = %v, want ErrWaitDie", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("younger reader kept waiting for an older writer")
+	}
+	lm.ReleaseAll(9)
+	lm.ReleaseAll(5)
+	select {
+	case err := <-t2:
+		if err != nil {
+			t.Fatalf("T2: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("T2 still blocked after T9 and T5 released")
+	}
+	lm.ReleaseAll(2)
+}
